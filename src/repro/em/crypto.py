@@ -30,20 +30,22 @@ class CiphertextVersions:
     *pattern*, so callers that overlap writes (the parallel engine)
     must still invoke the ``reencrypt*`` methods in the sequential
     engine's stream order — that ordering is their contract, not this
-    class's.  What the internal lock guarantees is the weaker safety
-    property pinned by the concurrency stress tests: concurrent calls
-    never tear the shared clock (each advance-and-assign is atomic), so
-    the clock always equals the total number of recorded writes.
+    class's.  What the lock guarantees is the weaker safety property
+    pinned by the concurrency stress tests: concurrent calls never tear
+    the shared clock (each advance-and-assign is atomic), so the clock
+    always equals the total number of recorded writes.  One lock serves
+    every instance, so allocating an array creates none.
     """
 
-    __slots__ = ("_versions", "_clock", "_lock")
+    __slots__ = ("_versions", "_clock")
+
+    _lock = threading.Lock()
 
     def __init__(self, num_blocks: int) -> None:
         if num_blocks < 0:
             raise ValueError(f"num_blocks must be non-negative, got {num_blocks}")
         self._versions = np.zeros(num_blocks, dtype=np.int64)
         self._clock = 0
-        self._lock = threading.Lock()
 
     def reencrypt(self, index: int) -> int:
         """Record that block ``index`` was overwritten with a fresh ciphertext.
@@ -76,15 +78,15 @@ class CiphertextVersions:
             self._clock += k
 
     def reencrypt_range(self, lo: int, hi: int, step: int = 1) -> None:
-        """:meth:`reencrypt_many` for the (strided) range ``[lo, hi)``."""
-        k = len(range(lo, hi, step)) if hi > lo else 0
-        if k <= 0:
+        """:meth:`reencrypt_many` for the (strided) range ``[lo, hi)``
+        (``step >= 1``)."""
+        if hi <= lo:
             return
+        k = (hi - lo - 1) // step + 1
         with self._lock:
-            self._versions[lo:hi:step] = np.arange(
-                self._clock + 1, self._clock + k + 1, dtype=np.int64
-            )
-            self._clock += k
+            clock = self._clock
+            self._versions[lo:hi:step] = np.arange(clock + 1, clock + k + 1)
+            self._clock = clock + k
 
     def version(self, index: int) -> int:
         """Return the current version of block ``index`` (adversary-visible)."""

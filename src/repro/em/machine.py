@@ -27,7 +27,19 @@ would have produced:
   operation per stream per iteration.
 
 Because the trace and the counters are identical to the scalar
-formulation, obliviousness arguments transfer verbatim.  The *modeled*
+formulation, obliviousness arguments transfer verbatim.
+
+Each bulk call appends *one* descriptor to the trace log
+(:mod:`repro.em.trace`): its round count plus, per stream, the op, the
+array id and ``(lo, step)`` — or, for an index-array stream, a copy of
+the indices.  No event rows are built while the algorithm runs; they are
+expanded only when a window of the transcript is read or hashed, and
+they come out byte-identical to the rows the scalar loop would have
+recorded, so every fingerprint is unchanged.  An all-range
+:meth:`io_rounds` batch on the sequential engine is parsed once: its
+bounds and shape checks ride along in the gather and scatter passes.
+
+The *modeled*
 private-memory residency is what the cache leases account for — the
 algorithm's claim of how many blocks it holds at once, which the scans
 keep within ``M/B``.  The engine itself may stage more blocks physically
@@ -38,8 +50,7 @@ part of the model.
 
 from __future__ import annotations
 
-import warnings
-from contextlib import AbstractContextManager, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -50,7 +61,7 @@ from repro.em.cache import ClientCache
 from repro.em.errors import EMError
 from repro.em.parallel import MODES, ParallelIOEngine, resolve_workers
 from repro.em.storage import EMArray, MemoryBackend, StorageBackend
-from repro.em.trace import AccessTrace, Op
+from repro.em.trace import FANCY, AccessTrace, Op
 
 __all__ = ["EMMachine", "IOMeter", "IOStep"]
 
@@ -61,19 +72,11 @@ IOStep = tuple
 _OP_READ = int(Op.READ)
 _OP_WRITE = int(Op.WRITE)
 
-#: Memoized 0..k-1 round-number columns for trace-row building.  The
-#: cached arrays are only ever used as read-only operands.
-_ROUND_NUMBERS: dict[int, np.ndarray] = {}
 
-
-def _round_numbers(k: int) -> np.ndarray:
-    arr = _ROUND_NUMBERS.get(k)
-    if arr is None:
-        arr = np.arange(k, dtype=np.int64)
-        if len(_ROUND_NUMBERS) > 512:
-            _ROUND_NUMBERS.clear()
-        _ROUND_NUMBERS[k] = arr
-    return arr
+def _first_read(reads: list) -> np.ndarray:
+    """:meth:`EMMachine.copy_many`'s payload: the blocks its read stream
+    gathered."""
+    return reads[0]
 
 
 @dataclass
@@ -415,29 +418,9 @@ class EMMachine:
         to a scalar ``read`` loop.  Callers must chunk requests so the
         returned blocks fit the private memory they have reserved.
         """
-        self._own(arr)
-        if type(indices) is tuple:
-            lo, hi, step = indices if len(indices) == 3 else (*indices, 1)
-            idx = None
-            k = len(range(lo, hi, step)) if hi > lo else 0
-        else:
-            idx = self._as_indices(indices)
-            lo = hi = 0
-            step = 1
-            k = len(idx)
-        engine = self._engine_for(k)
-        blocks = self._gather_one(engine, arr, lo, hi, step, idx, k)
-        if engine is not None:
-            self.parallel_rounds += k
-        self.reads += k
-        self._count_batch(k)
-        self._notify_io(k, 1)
-        if self.trace.enabled and k:
-            rows = np.empty((k, 3), dtype=np.int64)
-            rows[:, 0] = _OP_READ
-            rows[:, 1] = arr.array_id
-            rows[:, 2] = idx if idx is not None else np.arange(lo, hi, step)
-            self.trace.append_rows(rows)
+        blocks = self._rounds((("r", arr, indices),))[0][0]
+        if blocks is None:
+            blocks = self._check_empty(arr, indices)
         return blocks
 
     def write_many(self, arr: EMArray, indices, blocks: np.ndarray) -> None:
@@ -446,30 +429,9 @@ class EMMachine:
         One WRITE event per index, in index order; duplicate indices
         behave like the equivalent sequential loop (last write wins).
         """
-        self._own(arr)
         blocks = np.asarray(blocks, dtype=np.int64)
-        if type(indices) is tuple:
-            lo, hi, step = indices if len(indices) == 3 else (*indices, 1)
-            idx = None
-            k = len(blocks)
-        else:
-            idx = self._as_indices(indices)
-            lo = hi = 0
-            step = 1
-            k = len(idx)
-        engine = self._engine_for(k)
-        self._scatter_one(engine, arr, lo, hi, step, idx, blocks)
-        if engine is not None:
-            self.parallel_rounds += k
-        self.writes += k
-        self._count_batch(k)
-        self._notify_io(k, 1)
-        if self.trace.enabled and k:
-            rows = np.empty((k, 3), dtype=np.int64)
-            rows[:, 0] = _OP_WRITE
-            rows[:, 1] = arr.array_id
-            rows[:, 2] = idx if idx is not None else np.arange(lo, hi, step)
-            self.trace.append_rows(rows)
+        if not self._rounds((("w", arr, indices, blocks),))[1]:
+            self._check_empty(arr, indices, blocks)
 
     def copy_many(self, src: EMArray, src_indices, dst: EMArray, dst_indices) -> None:
         """Fused ``write(dst, d[t], read(src, s[t]))`` loop (``2k`` I/Os).
@@ -479,54 +441,9 @@ class EMMachine:
         be the same array as long as no destination index is also a
         *later* source index (the gather happens before the scatter).
         """
-        self._own(src)
-        self._own(dst)
-        if type(src_indices) is tuple:
-            s_lo, s_hi, s_st = (
-                src_indices if len(src_indices) == 3 else (*src_indices, 1)
-            )
-            sidx = None
-            k = len(range(s_lo, s_hi, s_st)) if s_hi > s_lo else 0
-        else:
-            sidx = self._as_indices(src_indices)
-            s_lo = s_hi = 0
-            s_st = 1
-            k = len(sidx)
-        engine = self._engine_for(2 * k)
-        blocks = self._gather_one(engine, src, s_lo, s_hi, s_st, sidx, k)
-        if type(dst_indices) is tuple:
-            d_lo, d_hi, d_st = (
-                dst_indices if len(dst_indices) == 3 else (*dst_indices, 1)
-            )
-            didx = None
-        else:
-            didx = self._as_indices(dst_indices)
-            d_lo = d_hi = 0
-            d_st = 1
-            if len(didx) != k:
-                raise ValueError(
-                    f"source and destination counts differ ({k} != {len(didx)})"
-                )
-        self._scatter_one(engine, dst, d_lo, d_hi, d_st, didx, blocks)
-        if engine is not None:
-            self.parallel_rounds += k
-        self.reads += k
-        self.writes += k
-        self._count_batch(2 * k)
-        self._notify_io(k, 2)
-        if self.trace.enabled and k:
-            rows = np.empty((2 * k, 3), dtype=np.int64)
-            rows[0::2, 0] = _OP_READ
-            rows[1::2, 0] = _OP_WRITE
-            rows[0::2, 1] = src.array_id
-            rows[1::2, 1] = dst.array_id
-            rows[0::2, 2] = (
-                sidx if sidx is not None else np.arange(s_lo, s_hi, s_st)
-            )
-            rows[1::2, 2] = (
-                didx if didx is not None else np.arange(d_lo, d_hi, d_st)
-            )
-            self.trace.append_rows(rows)
+        steps = (("r", src, src_indices), ("w", dst, dst_indices, _first_read))
+        if not self._rounds(steps)[1]:
+            self._check_empty(dst, dst_indices, self._check_empty(src, src_indices))
 
     def swap_many(self, arr: EMArray, left, right) -> None:
         """Fused sequential swap loop: for each ``t``, swap blocks
@@ -584,17 +501,11 @@ class EMMachine:
         self._count_batch(4 * k)
         self._notify_io(k, 4)
         if self.trace.enabled:
-            ops = np.empty(4 * k, dtype=np.int64)
-            ops[0::4] = int(Op.READ)
-            ops[1::4] = int(Op.READ)
-            ops[2::4] = int(Op.WRITE)
-            ops[3::4] = int(Op.WRITE)
-            idx = np.empty(4 * k, dtype=np.int64)
-            idx[0::4] = lidx
-            idx[1::4] = ridx
-            idx[2::4] = lidx
-            idx[3::4] = ridx
-            self.trace.record_events(ops, arr.array_id, idx)
+            left = self._desc(_OP_READ, arr, 0, 0, lidx)
+            right = self._desc(_OP_READ, arr, 0, 0, ridx)
+            self.trace.record_rounds(
+                k, left + right + (_OP_WRITE,) + left[1:] + (_OP_WRITE,) + right[1:]
+            )
 
     def io_rounds(self, steps: Sequence[IOStep]) -> list[np.ndarray | None]:
         """Run ``t`` parallel I/O streams interleaved round-robin.
@@ -627,138 +538,160 @@ class EMMachine:
 
         Returns the per-step list of gathered read results.
         """
-        if not steps:
-            return []
+        return self._rounds(steps)[0] if steps else []
+
+    def _rounds(self, steps: Sequence[IOStep]) -> tuple[list, int]:
+        """The one bulk-I/O path behind every batched entry point: runs
+        ``steps`` as :meth:`io_rounds` documents and returns ``(results,
+        k)``.  With ``k == 0`` nothing is moved, counted, traced or
+        validated beyond stream parsing."""
+        if self._parallel is not None:
+            k = self._span(steps[0][2])[4]
+            engine = self._engine_for(k * len(steps))
+            if engine is not None:
+                return self._rounds_parallel(engine, steps), k
+        # Sequential engine: one pass parses, bounds-checks and gathers
+        # every stream (reads see the pre-call state) and builds its trace
+        # descriptor; a second runs the payloads and scatters the write
+        # streams in stream order.  Range checks are inline predicates
+        # that defer to EMArray's checkers only to raise their errors.
+        arrays = self._arrays
+        trace = self.trace
+        desc: list | None = [] if trace.enabled else None
         k = -1
-        all_ranges = True
-        parsed: list[list] = []
+        results: list[np.ndarray | None] = []
+        writes: list[tuple] = []
+        for step in steps:
+            kind = step[0]
+            arr = step[1]
+            if arrays.get(arr.array_id) is not arr:
+                self._own(arr)
+            indices = step[2]
+            if type(indices) is tuple:
+                lo, hi, st = indices if len(indices) == 3 else (*indices, 1)
+                idx = None
+                kk = 0 if hi <= lo else hi - lo if st == 1 else len(range(lo, hi, st))
+            else:
+                lo, hi, st, idx, kk = self._span(indices)
+            if kk != k:
+                if k >= 0:
+                    raise ValueError(
+                        f"io_rounds streams disagree on length ({kk} != {k})"
+                    )
+                k = kk
+            if kind == "r":
+                op = _OP_READ
+                if not k:
+                    results.append(None)
+                elif idx is None:
+                    if lo < 0 or st < 1 or lo + (k - 1) * st >= arr.num_blocks:
+                        arr._check_range(lo, hi, st)
+                    results.append(arr._data[lo:hi:st].copy())
+                else:
+                    results.append(arr._gather(idx))
+            elif kind == "w":
+                op = _OP_WRITE
+                results.append(None)
+                writes.append((arr, lo, hi, st, idx, step[3]))
+            else:
+                raise ValueError(f"unknown io_rounds step kind {kind!r}")
+            if desc is not None:
+                desc += (
+                    (op, arr.array_id, lo, st)
+                    if idx is None
+                    else self._desc(op, arr, lo, st, idx)
+                )
+        if k == 0:
+            return results, 0
+        shape = (k, self.B, RECORD_WIDTH)
+        for arr, lo, hi, st, idx, payload in writes:
+            blocks = payload(results) if callable(payload) else payload
+            blocks = np.asarray(blocks, dtype=np.int64)
+            if idx is None:
+                if (
+                    lo < 0 or st < 1 or lo + (k - 1) * st >= arr.num_blocks
+                    or blocks.shape != shape
+                ):
+                    arr._check_scatter_range(lo, hi, blocks, st)
+                arr._data[lo:hi:st] = blocks
+                arr.versions.reencrypt_range(lo, hi, st)
+            else:
+                arr._scatter(idx, blocks)
+        t = len(steps)
+        self.reads += k * (t - len(writes))
+        self.writes += k * len(writes)
+        self._count_batch(k * t)
+        self._notify_io(k, t)
+        if desc is not None:
+            trace.record_rounds(k, desc)
+        return results, k
+
+    def _rounds_parallel(self, engine, steps) -> list[np.ndarray | None]:
+        """:meth:`_rounds` through the parallel engine: one barrier per
+        phase.  All reads observe the pre-call state, so every gather
+        fans out together; payloads then run in the calling thread in
+        stream order; the scatters fan out with same-array streams kept
+        in stream order by the engine; and the ciphertext-version
+        epilogue replays the sequential engine's per-stream re-encryption
+        order exactly."""
+        k = -1
+        parsed: list[tuple] = []
         for step in steps:
             kind = step[0]
             if kind not in ("r", "w"):
                 raise ValueError(f"unknown io_rounds step kind {kind!r}")
             arr = step[1]
             self._own(arr)
-            indices = step[2]
-            if type(indices) is tuple:
-                lo, hi, st = indices if len(indices) == 3 else (*indices, 1)
-                idx = None
-                if st == 1:
-                    kk = hi - lo if hi > lo else 0
-                else:
-                    kk = len(range(lo, hi, st)) if hi > lo else 0
-            else:
-                idx = self._as_indices(indices)
-                lo = hi = 0
-                st = 1
-                kk = len(idx)
-                all_ranges = False
-            if k < 0:
-                k = kk
-            elif kk != k:
+            lo, hi, st, idx, kk = self._span(step[2])
+            if k >= 0 and kk != k:
                 raise ValueError(
                     f"io_rounds streams disagree on length ({kk} != {k})"
                 )
-            payload = step[3] if kind == "w" else None
-            parsed.append([kind, arr, lo, hi, st, idx, payload])
-        if k == 0:
-            return [None for _ in parsed]
-
-        engine = self._engine_for(k * len(parsed))
-        results: list[np.ndarray | None] = []
-        n_reads = n_writes = 0
-        if engine is None:
-            for kind, arr, lo, hi, st, idx, _ in parsed:
-                if kind == "r":
-                    results.append(
-                        arr._gather_range(lo, hi, st)
-                        if idx is None
-                        else arr._gather(idx)
-                    )
-                    n_reads += k
-                else:
-                    results.append(None)
-                    n_writes += k
-            for kind, arr, lo, hi, st, idx, payload in parsed:
-                if kind != "w":
-                    continue
-                blocks = payload(results) if callable(payload) else payload
-                blocks = np.asarray(blocks, dtype=np.int64)
+            k = kk
+            parsed.append((kind, arr, lo, hi, st, idx, step[3] if kind == "w" else None))
+        gather_tasks: list[tuple] = []
+        for kind, arr, lo, hi, st, idx, _ in parsed:
+            if kind == "r":
                 if idx is None:
-                    arr._scatter_range(lo, hi, blocks, st)
+                    arr._check_range(lo, hi, st)
+                    gather_tasks.append(("range", arr._data, lo, hi, st, k))
                 else:
-                    arr._scatter(idx, blocks)
-        else:
-            # Parallel path: one barrier per phase.  All reads observe
-            # the pre-call state (the documented io_rounds contract), so
-            # every gather fans out together; payloads then run in the
-            # calling thread in stream order; the scatters fan out with
-            # same-array streams kept in stream order by the engine; and
-            # the ciphertext-version epilogue replays the sequential
-            # engine's per-stream re-encryption order exactly.
-            gather_tasks: list[tuple] = []
-            for kind, arr, lo, hi, st, idx, _ in parsed:
-                if kind == "r":
-                    if idx is None:
-                        arr._check_range(lo, hi, st)
-                        gather_tasks.append(("range", arr._data, lo, hi, st, k))
-                    else:
-                        arr._check_many(idx)
-                        gather_tasks.append(("fancy", arr._data, idx))
-                    n_reads += k
-                else:
-                    n_writes += k
-            gathered = iter(engine.gather(gather_tasks))
-            results = [next(gathered) if p[0] == "r" else None for p in parsed]
-            write_streams: list[tuple] = []
-            scatter_tasks: list[tuple] = []
-            for kind, arr, lo, hi, st, idx, payload in parsed:
-                if kind != "w":
-                    continue
-                blocks = payload(results) if callable(payload) else payload
-                blocks = np.asarray(blocks, dtype=np.int64)
-                if idx is None:
-                    arr._check_scatter_range(lo, hi, blocks, st)
-                    scatter_tasks.append(("range", arr._data, lo, st, blocks))
-                else:
-                    arr._check_scatter(idx, blocks)
-                    scatter_tasks.append(("fancy", arr._data, idx, blocks))
-                write_streams.append((arr, lo, hi, st, idx))
-            engine.scatter(scatter_tasks)
-            for arr, lo, hi, st, idx in write_streams:
-                if idx is None:
-                    arr.versions.reencrypt_range(lo, hi, st)
-                    self._par_mix(engine, arr, lo, hi)
-                elif len(idx):
-                    arr.versions.reencrypt_many(idx)
-                    self._par_mix(
-                        engine, arr, int(idx.min()), int(idx.max()) + 1
-                    )
-            self.parallel_rounds += k
-        self.reads += n_reads
-        self.writes += n_writes
+                    arr._check_many(idx)
+                    gather_tasks.append(("fancy", arr._data, idx))
+        gathered = iter(engine.gather(gather_tasks))
+        results = [next(gathered) if p[0] == "r" else None for p in parsed]
+        write_streams: list[tuple] = []
+        scatter_tasks: list[tuple] = []
+        for kind, arr, lo, hi, st, idx, payload in parsed:
+            if kind != "w":
+                continue
+            blocks = payload(results) if callable(payload) else payload
+            blocks = np.asarray(blocks, dtype=np.int64)
+            if idx is None:
+                arr._check_scatter_range(lo, hi, blocks, st)
+                scatter_tasks.append(("range", arr._data, lo, st, blocks))
+            else:
+                arr._check_scatter(idx, blocks)
+                scatter_tasks.append(("fancy", arr._data, idx, blocks))
+            write_streams.append((arr, lo, hi, st, idx))
+        engine.scatter(scatter_tasks)
+        for arr, lo, hi, st, idx in write_streams:
+            if idx is None:
+                arr.versions.reencrypt_range(lo, hi, st)
+                self._par_mix(engine, arr, lo, hi)
+            elif len(idx):
+                arr.versions.reencrypt_many(idx)
+                self._par_mix(engine, arr, int(idx.min()), int(idx.max()) + 1)
+        self.parallel_rounds += k
+        self.reads += k * (len(parsed) - len(write_streams))
+        self.writes += k * len(write_streams)
         self._count_batch(k * len(parsed))
         self._notify_io(k, len(parsed))
         if self.trace.enabled:
-            t = len(parsed)
-            rows = np.empty((k, t, 3), dtype=np.int64)
-            rows[:, :, 0] = np.array(
-                [_OP_READ if p[0] == "r" else _OP_WRITE for p in parsed],
-                dtype=np.int64,
-            )
-            rows[:, :, 1] = np.array(
-                [p[1].array_id for p in parsed], dtype=np.int64
-            )
-            if all_ranges:
-                # All-range batch: one broadcast build of every index.
-                rows[:, :, 2] = _round_numbers(k)[:, None] * np.array(
-                    [p[4] for p in parsed], dtype=np.int64
-                ) + np.array([p[2] for p in parsed], dtype=np.int64)
-            else:
-                for s, (kind, arr, lo, hi, st, idx, _) in enumerate(parsed):
-                    rows[:, s, 2] = (
-                        idx if idx is not None else np.arange(lo, hi, st)
-                    )
-            self.trace.append_rows(rows.reshape(-1, 3))
+            desc: list[int] = []
+            for kind, arr, lo, _, st, idx, _ in parsed:
+                desc += self._desc(_OP_READ if kind == "r" else _OP_WRITE, arr, lo, st, idx)
+            self.trace.record_rounds(k, desc)
         return results
 
     def read_range(self, arr: EMArray, start: int, count: int) -> np.ndarray:
@@ -835,15 +768,6 @@ class EMMachine:
                 m.span_seconds = eng.span_seconds - start_span
                 m.workers = eng.workers
 
-    def meter(self) -> AbstractContextManager[IOMeter]:
-        """Deprecated alias of :meth:`metered`."""
-        warnings.warn(
-            "EMMachine.meter() is deprecated; use EMMachine.metered()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.metered()
-
     # -- teardown ------------------------------------------------------------
 
     def close(self) -> None:
@@ -865,6 +789,27 @@ class EMMachine:
             raise ValueError(f"indices must be 1-D, got shape {idx.shape}")
         return idx
 
+    @staticmethod
+    def _span(indices) -> tuple:
+        """``(lo, hi, step, idx, k)`` of one stream's ``indices``: a
+        ``(lo, hi[, step])`` range (``idx`` None) or a 1-D index array
+        (``lo, hi, step`` unused)."""
+        if type(indices) is tuple:
+            lo, hi, step = indices if len(indices) == 3 else (*indices, 1)
+            if hi <= lo:
+                return lo, hi, step, None, 0
+            return lo, hi, step, None, hi - lo if step == 1 else len(range(lo, hi, step))
+        idx = EMMachine._as_indices(indices)
+        return 0, 0, 1, idx, len(idx)
+
+    def _desc(self, op: int, arr: EMArray, lo: int, step: int, idx) -> tuple:
+        """The trace descriptor ``(op, array_id, lo, step)`` of one stream
+        as :meth:`_span` parsed it; a fancy stream's indices are copied
+        into the trace log (see :mod:`repro.em.trace`)."""
+        if idx is None:
+            return (op, arr.array_id, lo, step)
+        return (op, arr.array_id, self.trace.store_indices(idx), FANCY)
+
     def _engine_for(self, total_blocks: int) -> ParallelIOEngine | None:
         """The parallel engine, iff one exists and ``total_blocks`` of
         data movement clears its engagement threshold."""
@@ -873,40 +818,17 @@ class EMMachine:
             return eng
         return None
 
-    def _gather_one(self, engine, arr, lo, hi, st, idx, k) -> np.ndarray:
-        """One gather, through ``engine`` when given (bounds checked
-        here; the engine only moves bytes)."""
-        if engine is None:
-            return (
-                arr._gather_range(lo, hi, st) if idx is None else arr._gather(idx)
-            )
-        if idx is None:
-            arr._check_range(lo, hi, st)
-            return engine.gather([("range", arr._data, lo, hi, st, k)])[0]
-        arr._check_many(idx)
-        return engine.gather([("fancy", arr._data, idx)])[0]
-
-    def _scatter_one(self, engine, arr, lo, hi, st, idx, blocks) -> None:
-        """One scatter, through ``engine`` when given.  The version
-        epilogue always runs in the calling thread so the clock sequence
-        matches the sequential engine byte-for-byte."""
-        if engine is None:
-            if idx is None:
-                arr._scatter_range(lo, hi, blocks, st)
-            else:
-                arr._scatter(idx, blocks)
-            return
+    def _check_empty(self, arr: EMArray, indices, blocks=None):
+        """Validate a bulk request that turned out to cover no blocks the
+        way a non-empty one is validated (nothing is moved, counted or
+        traced); returns the empty gather of a read."""
+        lo, hi, st, idx, _ = self._span(indices)
+        if blocks is None:
+            return arr._gather_range(lo, hi, st) if idx is None else arr._gather(idx)
         if idx is None:
             arr._check_scatter_range(lo, hi, blocks, st)
-            engine.scatter([("range", arr._data, lo, st, blocks)])
-            arr.versions.reencrypt_range(lo, hi, st)
-            self._par_mix(engine, arr, lo, hi)
         else:
             arr._check_scatter(idx, blocks)
-            engine.scatter([("fancy", arr._data, idx, blocks)])
-            arr.versions.reencrypt_many(idx)
-            if len(idx):
-                self._par_mix(engine, arr, int(idx.min()), int(idx.max()) + 1)
 
     def _par_mix(self, engine, arr, lo, hi) -> None:
         """Process-mode hook: model CPU-bound re-encryption of the

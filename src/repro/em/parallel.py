@@ -14,7 +14,7 @@ round fans out.
 gather/scatter kernels (NumPy releases the GIL on slice copies); the
 machine keeps everything that defines the adversary view — bounds
 checks, payload evaluation, ciphertext-version clocks, I/O counters,
-trace rows, and the ``io_observer`` hook — in the calling thread, in the
+trace records, and the ``io_observer`` hook — in the calling thread, in the
 exact order of the sequential engine.  The recorded transcript is
 therefore **byte-identical** to the sequential engine's; parallelism is
 a simulation detail the adversary cannot see, as pinned by

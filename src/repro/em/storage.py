@@ -314,8 +314,8 @@ class EMArray:
     def _check_scatter_range(
         self, lo: int, hi: int, blocks: np.ndarray, step: int = 1
     ) -> None:
-        """Bounds + shape validation of a range scatter, write-free
-        (the parallel engine's pre-flight twin of :meth:`_check_scatter`)."""
+        """Bounds + shape validation of a range scatter, write-free (the
+        range twin of :meth:`_check_scatter`)."""
         self._check_range(lo, hi, step)
         k = len(range(lo, hi, step))
         if blocks.shape != (k, self.B, RECORD_WIDTH):
@@ -323,15 +323,6 @@ class EMArray:
                 f"blocks shape {blocks.shape} does not match "
                 f"({k}, {self.B}, {RECORD_WIDTH})"
             )
-
-    def _scatter_range(self, lo: int, hi: int, blocks: np.ndarray, step: int = 1) -> None:
-        """(Strided) range bulk write, re-encrypting each block in order."""
-        self._check_scatter_range(lo, hi, blocks, step)
-        if step != 1:
-            self._data[lo:hi:step] = blocks
-        else:
-            self._data[lo:hi] = blocks
-        self.versions.reencrypt_range(lo, hi, step)
 
     def _check(self, index: int) -> None:
         if not (0 <= index < self.num_blocks):

@@ -11,7 +11,7 @@ code reachable from worker entry points:
 * ``PAR301`` — attribute mutation of shared objects (closure/engine
   state).  Workers may store into array *elements* (that is the job),
   never rebind attributes or bump counters on shared objects;
-* ``PAR302`` — calls into epilogue-only APIs (``AccessTrace`` row
+* ``PAR302`` — calls into epilogue-only APIs (``AccessTrace``
   recording, ``CiphertextVersions`` re-encryption bumps, machine
   ``_notify_io``/observer hooks);
 * ``PAR303`` — machine I/O entry points or storage-ledger calls from
@@ -37,9 +37,11 @@ __all__ = ["check_parallel_safety", "worker_entries"]
 #: Epilogue-only API names (sequential-side accounting).
 EPILOGUE_ATTRS = {
     "record",
+    "record_rounds",
     "record_batch",
     "record_events",
     "append_rows",
+    "store_indices",
     "reencrypt",
     "reencrypt_many",
     "reencrypt_range",

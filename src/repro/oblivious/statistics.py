@@ -4,7 +4,9 @@ The exact same-seed check in :mod:`repro.oblivious.verifier` is the primary
 tool.  This module adds a distributional sanity check: across many seeds,
 the *distribution* of trace lengths (the only scalar allowed to vary, and
 only with the randomness, never the data) must match between two inputs.
-A Kolmogorov–Smirnov two-sample test flags mismatches.
+A Kolmogorov–Smirnov two-sample test flags mismatches.  SciPy is imported
+only when a test actually runs, so importing :mod:`repro` needs numpy
+alone.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.oblivious.verifier import AlgorithmRunner, run_traced
 
@@ -61,6 +62,8 @@ def trace_length_distribution_test(
         # Degenerate-but-ideal case: identical samples.  scipy's KS test is
         # well-defined here, but short-circuiting keeps p-value exactly 1.
         return DistributionTestResult(0.0, 1.0, tuple(lengths_a), tuple(lengths_b))
+    from scipy import stats
+
     ks = stats.ks_2samp(lengths_a, lengths_b)
     return DistributionTestResult(
         float(ks.statistic), float(ks.pvalue), tuple(lengths_a), tuple(lengths_b)

@@ -225,6 +225,17 @@ def test_retry_exhaustion_surfaces_metadata(flaky):
     assert info.value.__cause__.attempt == 3
 
 
+def test_default_policy_survives_seven_failures(flaky):
+    # At M=128, B=4 about 29% of sort attempts and a third of join and
+    # group_by attempts fail, so the default budget must leave a
+    # request's exhaustion odds far below one in a thousand.
+    flaky["fail_times"] = 7
+    with _session() as session:
+        assert session.retry == RetryPolicy()
+        result = session.run("_flaky", np.arange(16))
+    assert result.cost.attempts == 8
+
+
 def test_failed_attempts_do_not_leak_arrays(flaky):
     flaky["fail_times"] = 2
     with _session() as session:
@@ -326,3 +337,25 @@ def test_reset_counters_and_metered():
     with machine.metered() as legacy_meter:
         machine.read(arr, 3)
     assert legacy_meter.total == 1
+
+
+def test_facade_imports_and_sorts_without_scipy():
+    """SciPy backs only the cross-seed KS check; the package must import
+    and run with numpy alone (``pyproject.toml`` declares nothing else)."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import numpy as np\n"
+        "from repro.api import EMConfig, ObliviousSession\n"
+        "with ObliviousSession(EMConfig(M=64, B=4), seed=1) as s:\n"
+        "    out = s.sort(np.arange(40)[::-1].copy())\n"
+        "assert out.records[:, 0].tolist() == list(range(40))\n"
+        "assert 'scipy' not in {m.split('.')[0] for m in sys.modules if sys.modules[m] is not None}\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -202,30 +202,9 @@ class TestRangeWrappers:
 
 
 class TestMeterDeprecation:
-    def test_meter_warns_and_still_works(self):
-        m = EMMachine(64, 4)
-        a = m.alloc(2, "a")
-        with pytest.warns(DeprecationWarning, match="metered"):
-            with m.meter() as meter:
-                m.read(a, 0)
-        assert meter.reads == 1
-
-    def test_meter_warning_points_at_the_caller(self):
-        """stacklevel must attribute the warning to the deprecated call
-        site, not to em/machine.py — otherwise every report says the
-        library warned about itself and nobody finds their own usage."""
-        import warnings
-
-        m = EMMachine(64, 4)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            m.meter()
-        assert len(caught) == 1
-        assert caught[0].filename == __file__
-
     def test_metered_does_not_warn(self):
-        """The replacement API must be warning-free, or the deprecation
-        can never be finished."""
+        """``metered`` — the API that replaced the removed ``meter()``
+        shim — must stay warning-free."""
         import warnings
 
         m = EMMachine(64, 4)
